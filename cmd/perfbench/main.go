@@ -164,10 +164,11 @@ type HostInfo struct {
 // so they can be fractional and should be ~0 after the PR2 optimizations.
 //
 // ns_per_event is the uncontended Advance loop, which since PR 7 rides the
-// in-window fast path (no heap, no goroutine handoff). ns_per_event_queued
-// forces the full heap + park/transfer path by interleaving two processors
-// whose wakes always tie, so it tracks the cost the fast path skips — and
-// guards that the queued path itself has not regressed.
+// in-window fast path (no heap, no coroutine switch). ns_per_event_queued
+// forces the full heap + park/transfer path — a heap round trip plus a
+// switch out of and back into the processor's coroutine — by interleaving
+// two processors whose wakes always tie, so it tracks the cost the fast
+// path skips and guards that the queued path itself has not regressed.
 type EngineInfo struct {
 	NsPerEvent          float64 `json:"ns_per_event"`
 	AllocsPerEvent      float64 `json:"allocs_per_event"`

@@ -66,6 +66,10 @@ type Object struct {
 	// turn. Both structures migrate with the object.
 	expect map[int]uint64
 	hold   map[holdKey]*Envelope
+	// moves counts the object's migrations (mod 2^16). It stamps every
+	// location the object reports, so a cache never trades a location for
+	// an older one (see learn).
+	moves uint16
 }
 
 type holdKey struct {
@@ -151,7 +155,7 @@ type Layer struct {
 	tr  *trace.Recorder
 
 	objects   map[MobilePtr]*Object
-	lastKnown map[MobilePtr]int // best-guess location for non-local objects
+	lastKnown map[MobilePtr]location // best-guess location for non-local objects
 	nextIndex int
 	nextSeq   map[MobilePtr]uint64 // per-destination sequence for local sends
 
@@ -193,7 +197,26 @@ type migration struct {
 
 type locationUpdate struct {
 	mp  MobilePtr
-	loc int
+	loc location
+}
+
+// location is where an object lives after its moves-th migration.
+type location struct {
+	proc  int
+	moves uint16
+}
+
+// learn records loc as mp's best-guess location unless the cache already
+// holds a newer one (moves compared in serial-number arithmetic, so the
+// 16-bit count may wrap). Location updates travel from whichever processor
+// the object reached, so they can arrive out of order; without the check a
+// late report of an old host rewinds the cache, and two rewound caches can
+// point at each other and forward a message around a cycle that never
+// reaches the object.
+func (l *Layer) learn(mp MobilePtr, loc location) {
+	if cur, ok := l.lastKnown[mp]; !ok || int16(loc.moves-cur.moves) > 0 {
+		l.lastKnown[mp] = loc
+	}
 }
 
 // New builds a MOL endpoint over a DMCS endpoint. As with dmcs.Comm,
@@ -205,7 +228,7 @@ func New(c *dmcs.Comm, cfg Config) *Layer {
 		cfg:       cfg,
 		tr:        trace.Of(c.Proc()),
 		objects:   make(map[MobilePtr]*Object),
-		lastKnown: make(map[MobilePtr]int),
+		lastKnown: make(map[MobilePtr]location),
 		nextSeq:   make(map[MobilePtr]uint64),
 	}
 	l.deliver = func(l *Layer, obj *Object, env *Envelope) {
@@ -220,7 +243,7 @@ func New(c *dmcs.Comm, cfg Config) *Layer {
 	l.hLocation = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
 		u := data.(*locationUpdate)
 		if _, local := l.objects[u.mp]; !local {
-			l.lastKnown[u.mp] = u.loc
+			l.learn(u.mp, u.loc)
 		}
 	})
 	// Registered unconditionally so handler IDs stay SPMD-consistent whether
@@ -290,7 +313,7 @@ func (l *Layer) bestGuess(mp MobilePtr) int {
 		return l.Proc().ID()
 	}
 	if loc, ok := l.lastKnown[mp]; ok {
-		return loc
+		return loc.proc
 	}
 	if l.rp != nil {
 		// PeerDown purged cache entries through dead processors; the recovery
@@ -420,8 +443,12 @@ func (l *Layer) forward(env *Envelope) {
 	l.tr.Instant(trace.EvForward, l.Proc().Now(), int64(next), int64(env.Hops), int64(env.Size))
 	l.c.SendTagged(next, l.hEnvelope, env, env.Size+envelopeHeader, env.Tag)
 	if l.cfg.NotifyOrigin && env.Origin != l.Proc().ID() && next != env.Origin {
-		l.Stats.LocationNotify++
-		l.c.SendTagged(env.Origin, l.hLocation, &locationUpdate{env.MP, next}, 16, substrate.TagSystem)
+		// Only a cached location carries a migration count; a fallback
+		// guess (home, recovery manifest) tells the origin nothing.
+		if loc, ok := l.lastKnown[env.MP]; ok && loc.proc == next {
+			l.Stats.LocationNotify++
+			l.c.SendTagged(env.Origin, l.hLocation, &locationUpdate{env.MP, loc}, 16, substrate.TagSystem)
+		}
 	}
 }
 
@@ -438,7 +465,8 @@ func (l *Layer) Migrate(mp MobilePtr, dst int) error {
 		return nil
 	}
 	delete(l.objects, mp)
-	l.lastKnown[mp] = dst
+	obj.moves++
+	l.lastKnown[mp] = location{dst, obj.moves}
 	l.Stats.MigrationsOut++
 	var extra any
 	if l.OnMigrateOut != nil {
@@ -479,7 +507,7 @@ func (l *Layer) migrateIn(src int, m *migration) {
 	// Tell the home directory where the object now lives (unless it came
 	// home or it is already here).
 	if obj.MP.Home != l.Proc().ID() {
-		l.c.SendTagged(obj.MP.Home, l.hLocation, &locationUpdate{obj.MP, l.Proc().ID()}, 16, substrate.TagSystem)
+		l.c.SendTagged(obj.MP.Home, l.hLocation, &locationUpdate{obj.MP, location{l.Proc().ID(), obj.moves}}, 16, substrate.TagSystem)
 	}
 	// Some held envelopes may now be deliverable (e.g. their predecessors
 	// were consumed before migration).

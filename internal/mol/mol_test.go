@@ -7,6 +7,7 @@ import (
 
 	"prema/internal/dmcs"
 	"prema/internal/sim"
+	"prema/internal/substrate"
 )
 
 // cluster spawns n processors; build runs on each to register handlers and
@@ -402,5 +403,72 @@ func TestGetLocalObject(t *testing.T) {
 	})
 	if got != 7 {
 		t.Fatalf("local get = %v", got)
+	}
+}
+
+// TestStaleLocationUpdateIgnored: location reports come from whichever
+// processor the object reached, so they can reach the home out of order. A
+// late report of an older host must not rewind the home's cache; rewound
+// caches can point at each other and forward messages around a cycle that
+// never reaches the object.
+func TestStaleLocationUpdateIgnored(t *testing.T) {
+	var home *Layer
+	mp := MobilePtr{Home: 0, Index: 0} // proc 0's first registration
+	settle := func(l *Layer, until substrate.Time) {
+		for l.Proc().Now() < until {
+			l.Comm().WaitPollFor(substrate.Millisecond, substrate.CatIdle)
+		}
+	}
+	cluster(t, 3, DefaultConfig(), func(l *Layer) func() {
+		return func() {
+			switch l.Proc().ID() {
+			case 0:
+				home = l
+				if got := l.Register(1, 64); got != mp {
+					t.Errorf("registered %v, want %v", got, mp)
+				}
+				if err := l.Migrate(mp, 1); err != nil {
+					t.Error(err)
+				}
+			case 1:
+				for l.Lookup(mp) == nil {
+					l.Comm().WaitPoll(substrate.CatIdle)
+				}
+				if err := l.Migrate(mp, 2); err != nil {
+					t.Error(err)
+				}
+				settle(l, 100*substrate.Millisecond)
+				// Replay proc 1's own first report, as a slow network
+				// would deliver it after proc 2's.
+				l.Comm().SendTagged(0, l.hLocation, &locationUpdate{mp, location{proc: 1, moves: 1}}, 16, substrate.TagSystem)
+			}
+			settle(l, 200*substrate.Millisecond)
+		}
+	})
+	if got, want := home.lastKnown[mp], (location{proc: 2, moves: 2}); got != want {
+		t.Fatalf("home caches %+v after a stale report, want %+v", got, want)
+	}
+}
+
+// TestLearnComparesMovesWithWraparound: the 16-bit migration count is
+// compared in serial-number arithmetic, so a count that wrapped past zero
+// still counts as newer.
+func TestLearnComparesMovesWithWraparound(t *testing.T) {
+	l := &Layer{lastKnown: make(map[MobilePtr]location)}
+	mp := MobilePtr{Home: 0, Index: 0}
+	for _, step := range []struct {
+		in, want location
+	}{
+		{location{1, 65534}, location{1, 65534}},
+		{location{2, 65535}, location{2, 65535}},
+		{location{3, 0}, location{3, 0}},     // wrapped: newer
+		{location{4, 65535}, location{3, 0}}, // older than 0 after the wrap
+		{location{5, 0}, location{3, 0}},     // same count: no news
+		{location{6, 40000}, location{3, 0}}, // more than half the space behind
+	} {
+		l.learn(mp, step.in)
+		if got := l.lastKnown[mp]; got != step.want {
+			t.Fatalf("after learning %+v: cache %+v, want %+v", step.in, got, step.want)
+		}
 	}
 }

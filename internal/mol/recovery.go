@@ -35,7 +35,7 @@ func (l *Layer) AttachRecov(rp *recov.Proc) { l.rp = rp }
 // through the black hole and consults the recovery manifest instead.
 func (l *Layer) PeerDown(dead int) {
 	for mp, loc := range l.lastKnown {
-		if loc == dead {
+		if loc.proc == dead {
 			delete(l.lastKnown, mp)
 		}
 	}
@@ -82,7 +82,7 @@ func (l *Layer) Restore(ck *recov.Checkpoint, host int) {
 		} else {
 			l.c.SendTagged(host, l.hRestore, ck, ck.Size+l.cfg.MigrateFixed, substrate.TagSystem)
 			if _, resident := l.objects[mp]; !resident {
-				l.lastKnown[mp] = host
+				l.lastKnown[mp] = location{proc: host} // a recovered incarnation's count restarts at zero
 			}
 		}
 	}
@@ -135,7 +135,7 @@ func (l *Layer) installRecovered(ck *recov.Checkpoint) {
 		l.rp.ObjectLanded(oid(mp), obj.Data, obj.Size, obj.Weight)
 	}
 	if mp.Home != l.Proc().ID() {
-		l.c.SendTagged(mp.Home, l.hLocation, &locationUpdate{mp, l.Proc().ID()}, 16, substrate.TagSystem)
+		l.c.SendTagged(mp.Home, l.hLocation, &locationUpdate{mp, location{proc: l.Proc().ID()}}, 16, substrate.TagSystem)
 	}
 	l.drainRestoreHold(mp)
 }

@@ -63,6 +63,7 @@ func encodeObject(w *wire.Writer, obj *Object) {
 	wire.EncodeAny(w, obj.Data)
 	w.Int(obj.Size)
 	w.F64(obj.Weight)
+	w.U16(obj.moves)
 
 	origins := make([]int, 0, len(obj.expect))
 	for o := range obj.expect {
@@ -98,6 +99,7 @@ func decodeObject(r *wire.Reader) *Object {
 	obj.Data = wire.DecodeAny(r)
 	obj.Size = r.Int()
 	obj.Weight = r.F64()
+	obj.moves = r.U16()
 	n := r.Count(16) // origin i64 + watermark u64
 	obj.expect = make(map[int]uint64, n)
 	for i := 0; i < n; i++ {
@@ -152,19 +154,20 @@ func init() {
 	// Location updates are the layer's highest-volume control traffic and
 	// carry a modeled Size of 16 bytes, so they get the compact encoding:
 	// home, index, and location are a processor ID and an object index,
-	// which i32 holds with room to spare (2 + 3*4 = 14 bytes on the wire).
+	// which i32 holds with room to spare, plus the 16-bit migration count
+	// (2 + 3*4 + 2 = 16 bytes on the wire).
 	wire.Register(wire.KindMolLocation, &locationUpdate{},
 		func(w *wire.Writer, v any) {
 			u := v.(*locationUpdate)
 			w.I32(int32(u.mp.Home))
 			w.I32(int32(u.mp.Index))
-			w.I32(int32(u.loc))
+			w.I32(int32(u.loc.proc))
+			w.U16(u.loc.moves)
 		},
 		func(r *wire.Reader) any {
-			return &locationUpdate{
-				mp:  MobilePtr{Home: int(r.I32()), Index: int(r.I32())},
-				loc: int(r.I32()),
-			}
+			u := &locationUpdate{mp: MobilePtr{Home: int(r.I32()), Index: int(r.I32())}}
+			u.loc = location{proc: int(r.I32()), moves: r.U16()}
+			return u
 		})
 
 	wire.Register(wire.KindMolGetRequest, getRequest{},

@@ -53,6 +53,7 @@ func TestMigrationRoundTrip(t *testing.T) {
 		Data:   42,
 		Size:   64,
 		Weight: 3.25,
+		moves:  300,
 		expect: map[int]uint64{0: 7, 3: 2, 9: 11},
 		hold: map[holdKey]*Envelope{
 			{origin: 3, seq: 4}: {MP: MobilePtr{Home: 1, Index: 5}, Handler: 2, Data: 10, Size: 8, Tag: 0, Origin: 3, Seq: 4, Weight: 1},
@@ -82,7 +83,7 @@ func TestMigrationRoundTrip(t *testing.T) {
 // TestControlPayloadRoundTrips covers the layer's small control messages.
 func TestControlPayloadRoundTrips(t *testing.T) {
 	for _, v := range []any{
-		&locationUpdate{mp: MobilePtr{Home: 2, Index: 17}, loc: 5},
+		&locationUpdate{mp: MobilePtr{Home: 2, Index: 17}, loc: location{proc: 5, moves: 65535}},
 		getRequest{ID: 77, Reader: 3, Origin: 1},
 		getReply{ID: 77, Value: []byte{1, 2}},
 		getReply{ID: 78, Value: nil},
@@ -110,7 +111,7 @@ func TestEnvelopeFitsModeledHeader(t *testing.T) {
 		t.Fatalf("int-payload envelope encodes to %d bytes, modeled size is %d", w.Len(), envelopeHeader+8)
 	}
 	w.Reset()
-	wire.EncodeAny(&w, &locationUpdate{mp: MobilePtr{Home: 1, Index: 2}, loc: 3})
+	wire.EncodeAny(&w, &locationUpdate{mp: MobilePtr{Home: 1, Index: 2}, loc: location{proc: 3, moves: 9}})
 	if w.Len() > 16 {
 		t.Fatalf("location update encodes to %d bytes, modeled size is 16", w.Len())
 	}

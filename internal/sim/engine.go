@@ -3,20 +3,21 @@
 // repository reproduces the PREMA runtime and its baselines (ParMETIS-style
 // stop-and-repartition and a Charm++-style chare runtime).
 //
-// Each simulated processor is a goroutine, but processors only execute when
-// their owning *shard* hands them control over unbuffered channels. With one
-// shard (the default) the simulation is fully sequential, exactly as it was
-// before the engine was parallelized. With S > 1 shards the processors are
-// partitioned across S shard event loops (round-robin by default, or any
-// Config.Partition map) that run on their own goroutines and advance in
-// bounded-lag windows. The window bound is conservative lookahead: a message
-// from shard s cannot arrive at shard d earlier than s's next event plus the
-// cheapest (src in s, dst in d) link latency, so every event a shard fires
-// below that bound is safe. The engine derives a per-(shard,shard) minimum-
-// latency matrix from the NetworkConfig and, each coordination round, solves
-// for the widest per-shard windows the matrix permits (see runSharded) —
-// shards that only talk over expensive links, or not at all, advance many
-// minimum-latency widths per barrier. Cross-shard deliveries wait in
+// Each simulated processor is a coroutine (iter.Pull) that executes only
+// while its owning *shard* has switched into it, and switches back when it
+// blocks or finishes. With one shard (the default) the simulation is fully
+// sequential, exactly as it was before the engine was parallelized. With
+// S > 1 shards the processors are partitioned across S shard event loops
+// (round-robin by default, or any Config.Partition map) that run on their
+// own goroutines and advance in bounded-lag windows. The window bound is
+// conservative lookahead: a message from shard s cannot arrive at shard d
+// earlier than s's next event plus the cheapest (src in s, dst in d) link
+// latency, so every event a shard fires below that bound is safe. The
+// engine derives a per-(shard,shard) minimum-latency matrix from the
+// NetworkConfig and, each coordination round, solves for the widest
+// per-shard windows the matrix permits (see runSharded) — shards that only
+// talk over expensive links, or not at all, advance many minimum-latency
+// widths per barrier. Cross-shard deliveries wait in
 // per-(shard,shard) mailboxes and are batch-exchanged at the window barrier.
 //
 // Sharding is a performance knob, not a semantics knob: shards share no
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -77,7 +77,7 @@ type Config struct {
 // add processors with Spawn, then call Run.
 type Engine struct {
 	cfg     Config
-	look    Time  // minimum lookahead over all links (fixed-window width)
+	look    Time // minimum lookahead over all links (fixed-window width)
 	procs   []*Proc
 	assign  []int // processor ID -> owning shard (partition map)
 	shards  []*shard
@@ -256,35 +256,8 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	}
 	e.assign = append(e.assign, sh)
 	s := e.shards[sh]
-	p := &Proc{
-		id:     id,
-		name:   name,
-		sh:     s,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{id: id, name: name, sh: s, body: body}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		if !p.killed {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if r == errKilled {
-							return
-						}
-						if s.err == nil {
-							s.err = fmt.Errorf("sim: processor %q panicked: %v\n%s", p.name, r, debug.Stack())
-						}
-					}
-				}()
-				body(p)
-			}()
-		}
-		p.done = true
-		p.finishedAt = s.now
-		p.parked <- struct{}{}
-	}()
 	s.atTransfer(0, p)
 	return p
 }
@@ -540,12 +513,18 @@ func (e *Engine) exchange() {
 	}
 }
 
-// teardown unwinds any still-blocked processor goroutines so they do not
-// leak past Run. It runs after every shard worker has quiesced, so the
-// sequential transfers below are race-free.
+// teardown unwinds any still-blocked processor coroutines so they do not
+// leak past Run; a processor that never ran has none and just finishes. It
+// runs after every shard worker has quiesced, so the sequential transfers
+// below are race-free.
 func (e *Engine) teardown() {
 	for _, p := range e.procs {
-		if !p.done {
+		switch {
+		case p.done:
+		case p.resume == nil:
+			p.done = true
+			p.finishedAt = p.sh.now
+		default:
 			p.killed = true
 			p.sh.transfer(p)
 		}

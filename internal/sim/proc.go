@@ -7,21 +7,23 @@ import (
 
 var errKilled = errors.New("sim: processor killed")
 
-// Proc is a simulated processor. A Proc's body function runs on its own
-// goroutine but only ever while its owning shard has handed it control, so
-// bodies may freely touch their shard's state (schedule events, send
-// messages) without synchronization.
+// Proc is a simulated processor. A Proc's body function runs as a coroutine
+// (iter.Pull) that its owning shard switches into and that switches back
+// when it blocks or finishes, so the body only ever executes while the shard
+// has handed it control and may freely touch the shard's state (schedule
+// events, send messages) without synchronization.
 //
 // All methods that advance virtual time (Advance, Send, Recv*, Wait*) must be
 // called from the Proc's own body; calling them from another goroutine or
-// from an engine event handler corrupts the handoff protocol.
+// from an engine event handler corrupts the coroutine switch.
 type Proc struct {
 	id   int
 	name string
 	sh   *shard
 
-	resume chan struct{} // shard -> proc: you have control
-	parked chan struct{} // proc -> shard: I blocked or finished
+	body    func(*Proc)
+	resume  func() (struct{}, bool) // shard -> proc: run until you block or finish
+	suspend func(struct{}) bool     // proc -> shard: I blocked
 
 	blocked    bool
 	waitingMsg bool
@@ -60,8 +62,7 @@ func (p *Proc) Charge(cat Category, d Time) { p.acct[cat] += d }
 
 // yield returns control to the shard and blocks until reawakened.
 func (p *Proc) yield() {
-	p.parked <- struct{}{}
-	<-p.resume
+	p.suspend(struct{}{})
 	if p.killed {
 		panic(errKilled)
 	}
@@ -87,8 +88,8 @@ func (p *Proc) park(cat Category) {
 // nothing else is pending strictly before it, and it lands inside the
 // current window — firing it through the heap would hand control to the
 // event loop only for it to hand control straight back. Instead the clock
-// is bumped in place, skipping the heap round trip and the two goroutine
-// handoffs of park/transfer. Ties must take the slow path: a fresh wake
+// is bumped in place, skipping the heap round trip and the two coroutine
+// switches of park/transfer. Ties must take the slow path: a fresh wake
 // carries the largest ordering key, so an equal-time entry already in the
 // heap fires first.
 func (p *Proc) Advance(d Time, cat Category) {

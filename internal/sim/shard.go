@@ -24,8 +24,7 @@ type shard struct {
 	free     *event // recycled fired events (intrusive list via event.next)
 	allocSeq uint64 // local-band ordering counter (see event.go)
 
-	running *Proc
-	net     *network // FIFO per (src,dst) for locally-sourced messages
+	net *network // FIFO per (src,dst) for locally-sourced messages
 
 	// out[d] buffers deliveries destined for shard d's processors during
 	// the current window; the coordinator moves them into d's heap at the
@@ -158,18 +157,17 @@ func (s *shard) deliver(m *Msg) {
 }
 
 // transfer hands this shard's thread of control to p until p blocks or
-// finishes. It must only be called from the shard's event loop (or the
-// engine's teardown, after all workers have quiesced); processors never
-// call it directly.
+// finishes, building p's coroutine on its first transfer. It must only be
+// called from the shard's event loop (or the engine's teardown, after all
+// workers have quiesced); processors never call it directly.
 func (s *shard) transfer(p *Proc) {
 	if p.done {
 		return
 	}
-	prev := s.running
-	s.running = p
-	p.resume <- struct{}{}
-	<-p.parked
-	s.running = prev
+	if p.resume == nil {
+		p.start()
+	}
+	p.resume()
 }
 
 // runWindow drains this shard's heap up to (excluding) end. The conservative
