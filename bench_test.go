@@ -389,11 +389,9 @@ func BenchmarkAdaptiveRepart(b *testing.B) {
 // BenchmarkMesherUniform measures the advancing front mesher.
 func BenchmarkMesherUniform(b *testing.B) {
 	box := mesh.Box{Hi: mesh.Vec3{X: 1, Y: 1, Z: 1}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := mesh.Generate(box, mesh.Uniform{Size: 0.2}, mesh.DefaultMesherConfig())
-		b.ReportMetric(float64(m.NumTets()), "tets")
-	}
+	benchMesher(b, func() *mesh.Mesh {
+		return mesh.Generate(box, mesh.Uniform{Size: 0.2}, mesh.DefaultMesherConfig())
+	})
 }
 
 // BenchmarkMesherCrack measures the mesher under crack refinement.
@@ -401,11 +399,22 @@ func BenchmarkMesherCrack(b *testing.B) {
 	box := mesh.Box{Hi: mesh.Vec3{X: 1, Y: 1, Z: 1}}
 	crack := mesh.Crack{Origin: mesh.Vec3{}, Dir: mesh.Vec3{X: 1, Y: 1, Z: 1}.Scale(1 / mesh.Vec3{X: 1, Y: 1, Z: 1}.Norm()),
 		Length: 0.7, Radius: 0.3, HMin: 0.09, HMax: 0.35}
+	benchMesher(b, func() *mesh.Mesh {
+		return mesh.Generate(box, crack, mesh.DefaultMesherConfig())
+	})
+}
+
+// benchMesher times gen and reports allocations, the tets of one mesh and
+// the tets generated per second.
+func benchMesher(b *testing.B, gen func() *mesh.Mesh) {
+	b.ReportAllocs()
 	b.ResetTimer()
+	var m *mesh.Mesh
 	for i := 0; i < b.N; i++ {
-		m := mesh.Generate(box, crack, mesh.DefaultMesherConfig())
-		b.ReportMetric(float64(m.NumTets()), "tets")
+		m = gen()
 	}
+	b.ReportMetric(float64(m.NumTets()), "tets")
+	b.ReportMetric(float64(m.NumTets())*float64(b.N)/b.Elapsed().Seconds(), "tets/s")
 }
 
 // BenchmarkHybrid regenerates the end-to-end hybrid experiment (the paper's

@@ -1,9 +1,10 @@
 package mesh
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Mesh is the output of the advancing front mesher.
@@ -49,7 +50,12 @@ func DefaultMesherConfig() MesherConfig {
 // triangle (normal inward) seeds the front, and fronts advance and cancel
 // until the volume is filled.
 func Generate(b Box, f SizingField, cfg MesherConfig) *Mesh {
-	m := newMesher(b, f, cfg)
+	return generate(b, f, cfg, cellSizeFor(b, f))
+}
+
+// generate is Generate with the spatial index's cell size given.
+func generate(b Box, f SizingField, cfg MesherConfig, cellSize float64) *Mesh {
+	m := newMesher(b, f, cfg, cellSize)
 	m.seedSurface()
 	m.advance()
 	return &Mesh{Verts: m.verts, Tets: m.tets, Defects: m.defects, Steps: m.steps}
@@ -115,83 +121,194 @@ type mesher struct {
 	defects int
 	steps   int
 
-	// Active-vertex spatial hash: vertices currently referenced by front
-	// faces, bucketed at cellSize.
+	// Spatial index: a dense grid of cubes of side cellSize over the box.
+	// It only narrows which vertices and tets a query examines; every query
+	// answers as if it had examined all of them (see overlapsMesh and
+	// nearActive), so the cell size changes speed, never the mesh.
 	cellSize float64
-	cells    map[[3]int32][]int32
-	refs     map[int32]int
-
-	// Tet occupancy hash: tets indexed by every cell their bounding box
-	// overlaps, used to reject candidates that would overlap meshed space.
-	tetCells map[[3]int32][]int32
+	dims     [3]int
+	// active buckets the vertices currently referenced by front faces, refs
+	// counts those references per vertex.
+	active [][]int32
+	refs   []int32
+	// tetCells lists each tet in every cell its bounding box overlaps;
+	// centroidCells lists it once, in the cell holding its centroid.
+	tetCells      [][]int32
+	centroidCells [][]int32
+	tetInfo       []tetInfo
+	// nearActive's reused buffers.
+	near  []nearCand
+	cands []int32
 }
 
-func newMesher(b Box, f SizingField, cfg MesherConfig) *mesher {
+// tetInfo caches what the occupancy tests need of a registered tet.
+type tetInfo struct {
+	lo, hi   Vec3 // bounding box
+	centroid Vec3
+	vol      float64
+}
+
+type nearCand struct {
+	v int32
+	d float64
+}
+
+// maxGridCellsPerElement bounds the dense grid at this many cells per
+// expected element, so a fine h in one corner of a large box cannot make
+// the grid huge.
+const maxGridCellsPerElement = 8
+
+func newMesher(b Box, f SizingField, cfg MesherConfig, cellSize float64) *mesher {
 	if cfg.ApexFactor <= 0 {
+		maxSteps := cfg.MaxSteps
 		cfg = DefaultMesherConfig()
+		cfg.MaxSteps = maxSteps
 	}
-	// Cell size: an upper bound on snapping radius. Sample the field.
-	maxH := 0.0
-	for _, p := range []Vec3{b.Lo, b.Hi, b.Center()} {
-		maxH = math.Max(maxH, f.H(p))
-	}
-	return &mesher{
+	m := &mesher{
 		box:      b,
 		sizing:   f,
 		cfg:      cfg,
 		front:    make(map[faceKey]*face),
-		cellSize: maxH,
-		cells:    make(map[[3]int32][]int32),
-		refs:     make(map[int32]int),
-		tetCells: make(map[[3]int32][]int32),
+		cellSize: cellSize,
 	}
+	d := gridDims(b, cellSize)
+	m.dims = [3]int{int(d[0]), int(d[1]), int(d[2])}
+	n := m.dims[0] * m.dims[1] * m.dims[2]
+	m.active = make([][]int32, n)
+	m.tetCells = make([][]int32, n)
+	m.centroidCells = make([][]int32, n)
+	return m
 }
 
-// pointInTet reports whether p lies strictly inside tet t (boundary points,
-// e.g. shared vertices and faces of adjacent tets, do not count).
-func (m *mesher) pointInTet(p Vec3, t [4]int32) bool {
-	a, b, c, d := m.verts[t[0]], m.verts[t[1]], m.verts[t[2]], m.verts[t[3]]
-	vol := TetVolume(a, b, c, d)
-	eps := 1e-7 * vol
-	if TetVolume(p, b, c, d) < eps {
-		return false
-	}
-	if TetVolume(a, p, c, d) < eps {
-		return false
-	}
-	if TetVolume(a, b, p, d) < eps {
-		return false
-	}
-	if TetVolume(a, b, c, p) < eps {
-		return false
-	}
-	return true
-}
-
-// tetBBoxCells calls fn for every occupancy cell a tet's bounding box
-// overlaps.
-func (m *mesher) tetBBoxCells(t [4]int32, fn func(c [3]int32)) {
-	lo := m.verts[t[0]]
-	hi := lo
-	for _, v := range t[1:] {
-		p := m.verts[v]
-		lo.X, lo.Y, lo.Z = math.Min(lo.X, p.X), math.Min(lo.Y, p.Y), math.Min(lo.Z, p.Z)
-		hi.X, hi.Y, hi.Z = math.Max(hi.X, p.X), math.Max(hi.Y, p.Y), math.Max(hi.Z, p.Z)
-	}
-	cl, ch := m.cellOf(lo), m.cellOf(hi)
-	for x := cl[0]; x <= ch[0]; x++ {
-		for y := cl[1]; y <= ch[1]; y++ {
-			for z := cl[2]; z <= ch[2]; z++ {
-				fn([3]int32{x, y, z})
+// finestH returns the smallest h the sizing field takes on a 5x5x5 sample
+// lattice of the box: the natural cell size of the spatial index.
+func finestH(b Box, f SizingField) float64 {
+	s := b.Size()
+	h := math.Inf(1)
+	for i := 0; i <= 4; i++ {
+		for j := 0; j <= 4; j++ {
+			for k := 0; k <= 4; k++ {
+				h = math.Min(h, f.H(Vec3{
+					b.Lo.X + s.X*float64(i)/4,
+					b.Lo.Y + s.Y*float64(j)/4,
+					b.Lo.Z + s.Z*float64(k)/4,
+				}))
 			}
 		}
 	}
+	return h
 }
 
-// occupied reports whether p lies inside any existing tetrahedron near it.
+// gridDims returns the cell counts per axis of a grid of the given cell
+// size over b, in floating point so that a tiny cell size cannot overflow.
+func gridDims(b Box, cellSize float64) [3]float64 {
+	s := b.Size()
+	return [3]float64{
+		math.Floor(s.X/cellSize) + 1,
+		math.Floor(s.Y/cellSize) + 1,
+		math.Floor(s.Z/cellSize) + 1,
+	}
+}
+
+// gridCells returns the cell count of a grid of the given cell size over b.
+func gridCells(b Box, cellSize float64) float64 {
+	d := gridDims(b, cellSize)
+	return d[0] * d[1] * d[2]
+}
+
+// cellSizeFor returns the spatial index's cell size for meshing b: the
+// finest sampled h, coarsened until the grid holds at most
+// maxGridCellsPerElement cells per expected element.
+func cellSizeFor(b Box, f SizingField) float64 {
+	cs := finestH(b, f)
+	limit := math.Max(1, maxGridCellsPerElement*EstimateElements(b, f, 8))
+	for gridCells(b, cs) > limit {
+		cs *= 1.25
+	}
+	return cs
+}
+
+// axisCell returns the grid coordinate of x along an axis starting at lo
+// with n cells, clamped to the grid.
+func (m *mesher) axisCell(x, lo float64, n int) int {
+	c := math.Floor((x - lo) / m.cellSize)
+	if c < 0 {
+		return 0
+	}
+	if c >= float64(n) {
+		return n - 1
+	}
+	return int(c)
+}
+
+func (m *mesher) cellCoord(p Vec3) [3]int {
+	return [3]int{
+		m.axisCell(p.X, m.box.Lo.X, m.dims[0]),
+		m.axisCell(p.Y, m.box.Lo.Y, m.dims[1]),
+		m.axisCell(p.Z, m.box.Lo.Z, m.dims[2]),
+	}
+}
+
+func (m *mesher) cellIndex(c [3]int) int { return (c[2]*m.dims[1]+c[1])*m.dims[0] + c[0] }
+
+func (m *mesher) cellOf(p Vec3) int { return m.cellIndex(m.cellCoord(p)) }
+
+// cellsIn calls fn with the index of every cell the box [lo, hi] overlaps
+// and reports whether some call returned true, which stops the scan. Since
+// cell coordinates are monotone in position, a point inside [lo, hi] lies
+// in one of these cells.
+func (m *mesher) cellsIn(lo, hi Vec3, fn func(cell int) bool) bool {
+	cl, ch := m.cellCoord(lo), m.cellCoord(hi)
+	for z := cl[2]; z <= ch[2]; z++ {
+		for y := cl[1]; y <= ch[1]; y++ {
+			row := m.cellIndex([3]int{0, y, z})
+			for x := cl[0]; x <= ch[0]; x++ {
+				if fn(row + x) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// inBox reports whether p lies in the closed box [lo, hi].
+func inBox(p, lo, hi Vec3) bool {
+	return p.X >= lo.X && p.X <= hi.X &&
+		p.Y >= lo.Y && p.Y <= hi.Y &&
+		p.Z >= lo.Z && p.Z <= hi.Z
+}
+
+// pointInTet reports whether p lies strictly inside registered tet ti
+// (boundary points, e.g. shared vertices and faces of adjacent tets, do not
+// count). A point outside the tet's bounding box is outside the tet, so one
+// of its sub-volumes is negative up to rounding error, far below the 1e-7
+// relative tolerance: rejecting it first changes no answer.
+func (m *mesher) pointInTet(p Vec3, ti int32) bool {
+	info := &m.tetInfo[ti]
+	if !inBox(p, info.lo, info.hi) {
+		return false
+	}
+	t := m.tets[ti]
+	a, b, c, d := m.verts[t[0]], m.verts[t[1]], m.verts[t[2]], m.verts[t[3]]
+	return pointInTetVol(p, a, b, c, d, info.vol)
+}
+
+// pointInTetVol reports whether p lies strictly inside tet (a, b, c, d) of
+// volume vol = TetVolume(a, b, c, d).
+func pointInTetVol(p, a, b, c, d Vec3, vol float64) bool {
+	eps := 1e-7 * vol
+	return TetVolume(p, b, c, d) >= eps &&
+		TetVolume(a, p, c, d) >= eps &&
+		TetVolume(a, b, p, d) >= eps &&
+		TetVolume(a, b, c, p) >= eps
+}
+
+// occupied reports whether p lies inside any existing tetrahedron. Every
+// tet containing p has p in its bounding box, so it is listed in p's cell.
 func (m *mesher) occupied(p Vec3) bool {
 	for _, ti := range m.tetCells[m.cellOf(p)] {
-		if m.pointInTet(p, m.tets[ti]) {
+		if m.pointInTet(p, ti) {
 			return true
 		}
 	}
@@ -200,80 +317,81 @@ func (m *mesher) occupied(p Vec3) bool {
 
 // overlapsMesh heuristically tests whether candidate tet cand interpenetrates
 // already meshed space: a stencil of interior sample points of cand must all
-// be free, and no nearby existing tet's centroid may lie inside cand.
+// be free, and no existing tet's centroid may lie inside cand.
 // (Cheaper than exact face-face intersection; combined with the front
 // orientation rules it keeps meshes overlap-free in practice — the test
 // suite asserts total volume never exceeds the box.)
 func (m *mesher) overlapsMesh(cand [4]int32) bool {
 	a, b, c, d := m.verts[cand[0]], m.verts[cand[1]], m.verts[cand[2]], m.verts[cand[3]]
 	g := a.Add(b).Add(c).Add(d).Scale(0.25)
-	samples := []Vec3{g}
-	for _, v := range []Vec3{a, b, c, d} {
-		samples = append(samples, g.Add(v.Sub(g).Scale(0.55)), g.Add(v.Sub(g).Scale(0.9)))
+	var samples [13]Vec3
+	samples[0] = g
+	for i, v := range [4]Vec3{a, b, c, d} {
+		samples[1+2*i] = g.Add(v.Sub(g).Scale(0.55))
+		samples[2+2*i] = g.Add(v.Sub(g).Scale(0.9))
 	}
 	// Face centroids nudged inward.
 	faces := [4][3]Vec3{{b, c, d}, {a, c, d}, {a, b, d}, {a, b, c}}
-	for _, fc := range faces {
+	for i, fc := range faces {
 		fg := fc[0].Add(fc[1]).Add(fc[2]).Scale(1.0 / 3)
-		samples = append(samples, fg.Add(g.Sub(fg).Scale(0.1)))
+		samples[9+i] = fg.Add(g.Sub(fg).Scale(0.1))
 	}
 	for _, p := range samples {
 		if m.occupied(p) {
 			return true
 		}
 	}
-	// Symmetric: existing tets poking into the candidate.
-	seen := map[int32]bool{}
-	overlap := false
-	m.tetBBoxCells(cand, func(cell [3]int32) {
-		if overlap {
-			return
-		}
-		for _, ti := range m.tetCells[cell] {
-			if seen[ti] {
-				continue
-			}
-			seen[ti] = true
-			t := m.tets[ti]
-			tg := m.verts[t[0]].Add(m.verts[t[1]]).Add(m.verts[t[2]]).Add(m.verts[t[3]]).Scale(0.25)
-			if m.pointInTetVerts(tg, a, b, c, d) {
-				overlap = true
-				return
-			}
-		}
-	})
-	return overlap
-}
-
-// pointInTetVerts is pointInTet with explicit vertex coordinates.
-func (m *mesher) pointInTetVerts(p, a, b, c, d Vec3) bool {
+	// Symmetric: existing tets poking into the candidate. A centroid inside
+	// cand lies in cand's bounding box, so its cell is among those scanned,
+	// and each tet is listed in exactly one centroid cell.
+	lo, hi := bounds(a, b, c, d)
 	vol := TetVolume(a, b, c, d)
-	eps := 1e-7 * vol
-	return TetVolume(p, b, c, d) >= eps &&
-		TetVolume(a, p, c, d) >= eps &&
-		TetVolume(a, b, p, d) >= eps &&
-		TetVolume(a, b, c, p) >= eps
-}
-
-// registerTet adds the latest tet to the occupancy hash.
-func (m *mesher) registerTet(ti int32) {
-	m.tetBBoxCells(m.tets[ti], func(c [3]int32) {
-		m.tetCells[c] = append(m.tetCells[c], ti)
+	return m.cellsIn(lo, hi, func(cell int) bool {
+		for _, ti := range m.centroidCells[cell] {
+			tg := m.tetInfo[ti].centroid
+			if inBox(tg, lo, hi) && pointInTetVol(tg, a, b, c, d, vol) {
+				return true
+			}
+		}
+		return false
 	})
 }
 
-func (m *mesher) cellOf(p Vec3) [3]int32 {
-	return [3]int32{
-		int32(math.Floor(p.X / m.cellSize)),
-		int32(math.Floor(p.Y / m.cellSize)),
-		int32(math.Floor(p.Z / m.cellSize)),
+// bounds returns the bounding box of four points.
+func bounds(a, b, c, d Vec3) (lo, hi Vec3) {
+	lo, hi = a, a
+	for _, p := range [3]Vec3{b, c, d} {
+		lo.X, lo.Y, lo.Z = math.Min(lo.X, p.X), math.Min(lo.Y, p.Y), math.Min(lo.Z, p.Z)
+		hi.X, hi.Y, hi.Z = math.Max(hi.X, p.X), math.Max(hi.Y, p.Y), math.Max(hi.Z, p.Z)
 	}
+	return lo, hi
+}
+
+// registerTet adds tet ti to the occupancy index.
+func (m *mesher) registerTet(ti int32) {
+	t := m.tets[ti]
+	a, b, c, d := m.verts[t[0]], m.verts[t[1]], m.verts[t[2]], m.verts[t[3]]
+	info := tetInfo{
+		centroid: a.Add(b).Add(c).Add(d).Scale(0.25),
+		vol:      TetVolume(a, b, c, d),
+	}
+	info.lo, info.hi = bounds(a, b, c, d)
+	m.tetInfo = append(m.tetInfo, info)
+	m.cellsIn(info.lo, info.hi, func(cell int) bool {
+		m.tetCells[cell] = append(m.tetCells[cell], ti)
+		return false
+	})
+	cell := m.cellOf(info.centroid)
+	m.centroidCells[cell] = append(m.centroidCells[cell], ti)
 }
 
 func (m *mesher) retain(v int32) {
+	if int(v) >= len(m.refs) {
+		m.refs = append(m.refs, make([]int32, int(v)+1-len(m.refs))...)
+	}
 	if m.refs[v] == 0 {
 		c := m.cellOf(m.verts[v])
-		m.cells[c] = append(m.cells[c], v)
+		m.active[c] = append(m.active[c], v)
 	}
 	m.refs[v]++
 }
@@ -283,53 +401,55 @@ func (m *mesher) release(v int32) {
 	if m.refs[v] > 0 {
 		return
 	}
-	delete(m.refs, v)
 	c := m.cellOf(m.verts[v])
-	list := m.cells[c]
+	list := m.active[c]
 	for i, x := range list {
 		if x == v {
 			list[i] = list[len(list)-1]
-			m.cells[c] = list[:len(list)-1]
+			m.active[c] = list[:len(list)-1]
 			break
 		}
 	}
-	if len(m.cells[c]) == 0 {
-		delete(m.cells, c)
-	}
 }
 
-// nearActive returns active front vertices within radius of p, nearest
-// first (deterministic: distance then index order).
-func (m *mesher) nearActive(p Vec3, radius float64) []int32 {
-	c := m.cellOf(p)
-	span := int32(math.Ceil(radius/m.cellSize)) + 1
-	type cand struct {
-		v int32
-		d float64
-	}
-	var out []cand
-	for dx := -span; dx <= span; dx++ {
-		for dy := -span; dy <= span; dy++ {
-			for dz := -span; dz <= span; dz++ {
-				for _, v := range m.cells[[3]int32{c[0] + dx, c[1] + dy, c[2] + dz}] {
-					if d := m.verts[v].Dist(p); d <= radius {
-						out = append(out, cand{v, d})
-					}
-				}
+// activeWithin calls fn with every active front vertex within radius of p
+// and its distance, in no particular order, until fn returns true. A vertex
+// within radius lies in the cells of the cube [p-radius, p+radius]; the
+// cube is padded far beyond rounding error so the distance test alone
+// decides.
+func (m *mesher) activeWithin(p Vec3, radius float64, fn func(v int32, d float64) bool) bool {
+	r := radius * (1 + 1e-9)
+	pad := Vec3{r, r, r}
+	return m.cellsIn(p.Sub(pad), p.Add(pad), func(cell int) bool {
+		for _, v := range m.active[cell] {
+			if d := m.verts[v].Dist(p); d <= radius && fn(v, d) {
+				return true
 			}
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].d != out[j].d {
-			return out[i].d < out[j].d
-		}
-		return out[i].v < out[j].v
+		return false
 	})
-	vs := make([]int32, len(out))
-	for i, c := range out {
-		vs[i] = c.v
+}
+
+// nearActive returns the active front vertices within radius of p, nearest
+// first (deterministic: distance then index order). The slice is reused by
+// the next call.
+func (m *mesher) nearActive(p Vec3, radius float64) []int32 {
+	m.near = m.near[:0]
+	m.activeWithin(p, radius, func(v int32, d float64) bool {
+		m.near = append(m.near, nearCand{v, d})
+		return false
+	})
+	slices.SortFunc(m.near, func(x, y nearCand) int {
+		if c := cmp.Compare(x.d, y.d); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.v, y.v)
+	})
+	m.cands = m.cands[:0]
+	for _, c := range m.near {
+		m.cands = append(m.cands, c.v)
 	}
-	return vs
+	return m.cands
 }
 
 // addFace inserts an oriented face into the front, cancelling against an
@@ -501,7 +621,8 @@ func (m *mesher) buildTet(f *face) bool {
 			return false
 		}
 		p := m.verts[apex]
-		if TetVolume(a, b, c, p) < minVol {
+		vol := TetVolume(a, b, c, p)
+		if vol < minVol {
 			return false
 		}
 		// Reject if any side face would duplicate an existing front face
@@ -525,13 +646,12 @@ func (m *mesher) buildTet(f *face) bool {
 				maxEdge = math.Max(maxEdge, m.verts[cand[i]].Dist(m.verts[cand[j]]))
 			}
 		}
-		for _, v := range m.nearActive(centroid, maxEdge) {
-			if v == cand[0] || v == cand[1] || v == cand[2] || v == cand[3] {
-				continue
-			}
-			if m.pointInTet(m.verts[v], cand) {
-				return false
-			}
+		swallows := m.activeWithin(centroid, maxEdge, func(v int32, _ float64) bool {
+			return v != cand[0] && v != cand[1] && v != cand[2] && v != cand[3] &&
+				pointInTetVol(m.verts[v], a, b, c, p, vol)
+		})
+		if swallows {
+			return false
 		}
 		m.emitTet(f, apex)
 		return true

@@ -6,7 +6,7 @@
 //
 // The mesher is a real advancing-front implementation (surface front of
 // oriented triangles, apex placement by the sizing field, vertex snapping
-// through a spatial hash, front cancellation), simplified from production
+// through a spatial grid, front cancellation), simplified from production
 // meshers in two documented ways: no global self-intersection tests (the
 // merge radius keeps fronts locally consistent) and subdomain boundaries are
 // discretized independently rather than matched exactly. Neither affects
